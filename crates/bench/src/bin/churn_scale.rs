@@ -249,7 +249,7 @@ fn run_and_report(sc: &Scenario, section: &str, quick: bool, wall_bar_s: f64) ->
     }
 
     let body = format!(
-        "{{\n    \"scenario\": \"terasort, 64 MB blocks x{}, replication 3, {} reducers, churn wave {}j+{}l over [{}s, {}s]\",\n    \"quick\": {quick},\n    \"runs\": [\n      {{ \"workers\": {}, \"joins\": {}, \"leaves\": {}, \"churn_pct\": {pct:.1}, \"flows\": {}, \"events\": {}, \"events_per_sec\": {:.0}, \"wall_s\": {:.4}, \"makespan_s\": {:.3}, \"attempts\": {}, \"rereplications\": {}, \"abort_flows_scanned\": {}, \"joined_node_dispatches\": {}, \"solver_calls\": {}, \"solver_rounds\": {}, \"queue\": {}, \"robustness\": {{ \"mr.attempt_retries\": {}, \"dfs.read_retries\": {}, \"mr.blacklist_entries\": {}, \"net.partitions_healed\": {} }}, \"nanos_per_event\": {:.0}, \"actor_costs\": {} }}\n    ]\n  }}",
+        "{{\n    \"scenario\": \"terasort, 64 MB blocks x{}, replication 3, {} reducers, churn wave {}j+{}l over [{}s, {}s]\",\n    \"quick\": {quick},\n    \"runs\": [\n      {{ \"workers\": {}, \"joins\": {}, \"leaves\": {}, \"churn_pct\": {pct:.1}, \"flows\": {}, \"events\": {}, \"events_per_sec\": {:.0}, \"wall_s\": {:.4}, \"makespan_s\": {:.3}, \"attempts\": {}, \"rereplications\": {}, \"abort_flows_scanned\": {}, \"joined_node_dispatches\": {}, \"solver_calls\": {}, \"solver_rounds\": {}, \"comp_flow_visits\": {}, \"queue\": {}, \"robustness\": {{ \"mr.attempt_retries\": {}, \"dfs.read_retries\": {}, \"mr.blacklist_entries\": {}, \"net.partitions_healed\": {} }}, \"nanos_per_event\": {:.0}, \"actor_costs\": {} }}\n    ]\n  }}",
         sc.blocks,
         sc.reducers,
         sc.joins,
@@ -270,6 +270,7 @@ fn run_and_report(sc: &Scenario, section: &str, quick: bool, wall_bar_s: f64) ->
         s.joined_dispatches,
         s.solver_calls,
         s.solver_rounds,
+        s.comp_visits,
         accelmr_bench::queue_stats_json(&s.queue),
         s.attempt_retries,
         s.read_retries,

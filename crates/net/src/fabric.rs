@@ -35,14 +35,25 @@
 //!    per flow), replacing the O(flows) completion scan per event. The
 //!    armed completion timer is *reused* when the projected next
 //!    completion instant is unchanged, instead of paying a cancel +
-//!    re-insert per event.
+//!    re-insert per event. Stale entries are compacted away once the
+//!    heap exceeds twice the live flow count (plus a fixed floor), so its
+//!    depth tracks live flows, not the run's history of rate changes.
 //! 4. **Slab flow storage** — active flows live in a slot-indexed slab
 //!    split into a hot array (remaining bytes, rate, route — what the
 //!    decrement/solve loops touch) and a cold array (notification
 //!    endpoints, payloads), with freed slots recycled. Link indices and
-//!    the completion heap refer to flows by slot (O(1), no hashing);
-//!    every order-sensitive sweep sorts by the flow's monotonic id, so
-//!    the event stream is identical to the original id-ordered map's.
+//!    the completion heap refer to flows by slot (O(1), no hashing), and
+//!    each flow records its position in its links' flow lists, so
+//!    unindexing a finished flow is O(1) however large the link's
+//!    fan-in.
+//!
+//! The incremental solve needs no canonical order: [`MaxMinSolver`]
+//! output is bitwise invariant under any permutation of its links and
+//! flows (see its invariants), rate write-back is per flow, and
+//! completion-heap keys `(finish, id, generation)` are unique, so pop
+//! order does not depend on push order. The one sweep whose order reaches
+//! the event stream directly — abort notifications — sorts by the flow's
+//! monotonic id.
 //!
 //! [`FluidEngine::Reference`] preserves the original engine — one global
 //! [`max_min_rates`] solve per flow event — event-for-event; it is the
@@ -169,16 +180,16 @@ pub struct FlowAborted {
 
 /// Hot per-flow state, slot-indexed and densely packed: exactly the
 /// fields the component walk, the rate write-back, and the settle loop
-/// touch. Keeping these in one ~80-byte record (no boxed payload) means a
+/// touch. Keeping these in one 88-byte record (no boxed payload) means a
 /// resolve sweep streams through a compact array instead of taking two
 /// cache misses per flow on a fat mixed record — the component walk is
 /// the single hottest loop in the 1000-node churn profile.
 #[derive(Clone, Copy)]
 struct FlowHot {
-    /// Monotonic flow id: the deterministic sort key for every
-    /// order-sensitive sweep and the completion-heap tiebreaker. Slab
-    /// *slots* are recycled; ids never are. `u64::MAX` marks a free slot
-    /// (no live flow can carry it — ids count up from zero).
+    /// Monotonic flow id: the sort key for abort notifications and the
+    /// completion-heap tiebreaker. Slab *slots* are recycled; ids never
+    /// are. `u64::MAX` marks a free slot (no live flow can carry it — ids
+    /// count up from zero).
     id: u64,
     /// Bytes left as of `updated_at` (lazily settled: only touched when
     /// this flow's rate changes, not on every fabric event).
@@ -192,6 +203,9 @@ struct FlowHot {
     route: Route,
     /// Component-walk visit stamp (see `resolve_dirty`).
     mark: u32,
+    /// Index of this flow's slot in `link_flows[route.links()[i]]`, for
+    /// O(1) detach (incremental engine; first `route.links().len()` valid).
+    link_pos: [u32; 2],
 }
 
 /// Cold per-flow bookkeeping, read only when the flow completes or
@@ -210,14 +224,21 @@ struct FlowCold {
 /// feed and the `add_flow` order need no further flow-table lookups.
 #[derive(Clone, Copy)]
 struct CompFlow {
-    /// Monotonic flow id — the deterministic solve-order key.
-    id: u64,
     /// Slab slot, for the lookup-free rate write-back.
     slot: u32,
     cap: f64,
     /// Dense solver slots of the route's links (first `n_links` valid).
     slots: [u32; 2],
     n_links: u8,
+}
+
+/// Whether a completion-heap entry `(_, id, gen, slot)` still describes
+/// its flow's current rate. Slots recycle and ids don't, so an id mismatch
+/// means the entry's flow is gone; a generation mismatch means its rate
+/// changed since the entry was pushed.
+fn entry_live(hot: &[FlowHot], id: u64, gen: u64, slot: u32) -> bool {
+    let h = &hot[slot as usize];
+    h.id == id && h.gen == gen
 }
 
 /// Completion-timer tag (kept at 0, matching the original fabric).
@@ -243,9 +264,9 @@ pub struct Fabric {
     /// hot path — the component walk visits every flow of a component per
     /// resolve, and map descents dominated the 1000-node churn profile.
     /// Slots recycle through `free_slots`; the monotonic flow *id* lives
-    /// in [`FlowHot`], and every sweep whose order can reach events or
-    /// float rounding sorts by id, preserving the original BTreeMap
-    /// id-order semantics exactly.
+    /// in [`FlowHot`], and abort notifications and the reference engine's
+    /// sweeps sort by it, preserving the original BTreeMap id-order
+    /// semantics exactly.
     hot: Vec<FlowHot>,
     cold: Vec<Option<FlowCold>>,
     free_slots: Vec<u32>,
@@ -260,7 +281,8 @@ pub struct Fabric {
     // --- incremental engine state ---
     /// Whether a deferred resolve wakeup is already queued for this instant.
     resolve_pending: bool,
-    /// Persistent link → active-flow slab slots index.
+    /// Persistent link → active-flow slab slots index; each flow's
+    /// `FlowHot::link_pos` points back into it.
     link_flows: Vec<Vec<u32>>,
     /// Links whose flow set changed since the last resolve.
     dirty_links: Vec<LinkId>,
@@ -556,6 +578,7 @@ impl Fabric {
                         cap: req.cap_bytes_per_sec.unwrap_or(f64::INFINITY),
                         route,
                         mark: 0,
+                        link_pos: [0; 2],
                     },
                     FlowCold {
                         notify: req.notify,
@@ -623,13 +646,73 @@ impl Fabric {
         }
     }
 
-    /// Unindexes a flow's slab slot from its links.
-    fn detach(&mut self, route: Route, slot: u32) {
-        for &l in route.links() {
+    /// Indexes a flow's slab slot on its route's links, recording where
+    /// it landed in each list.
+    fn attach(&mut self, slot: u32) {
+        let h = &mut self.hot[slot as usize];
+        for (&l, pos) in h.route.links().iter().zip(&mut h.link_pos) {
             let v = &mut self.link_flows[l.0];
-            if let Some(p) = v.iter().position(|&x| x == slot) {
-                v.swap_remove(p);
+            *pos = v.len() as u32;
+            v.push(slot);
+        }
+    }
+
+    /// Unindexes a removed flow (`h`, its final hot state) from its links
+    /// in O(1): `swap_remove` at the recorded position, then re-point the
+    /// back-index of the flow that moved into the hole.
+    fn detach(&mut self, h: &FlowHot, slot: u32) {
+        for (&l, &p) in h.route.links().iter().zip(&h.link_pos) {
+            let v = &mut self.link_flows[l.0];
+            debug_assert_eq!(v[p as usize], slot);
+            v.swap_remove(p as usize);
+            if let Some(&moved) = v.get(p as usize) {
+                let m = &mut self.hot[moved as usize];
+                // A route's links are distinct, so `l` sits at one index.
+                let i = usize::from(m.route.links()[0] != l);
+                m.link_pos[i] = p;
             }
+        }
+    }
+
+    /// Asserts the incremental engine's bookkeeping: every live flow's
+    /// back-index points at its own slot, every indexed slot is a live
+    /// flow (each exactly once), and — once the instant's resolve has run —
+    /// the completion heap is within its compaction bound. The reference
+    /// engine indexes nothing.
+    #[cfg(test)]
+    fn check_index(&self) {
+        if self.cfg.fluid == FluidEngine::Reference {
+            assert!(self.link_flows.iter().all(Vec::is_empty));
+            return;
+        }
+        let mut routed = 0;
+        for (slot, h) in self.hot.iter().enumerate() {
+            if h.id == u64::MAX {
+                continue;
+            }
+            for (&l, &p) in h.route.links().iter().zip(&h.link_pos) {
+                assert_eq!(
+                    self.link_flows[l.0].get(p as usize),
+                    Some(&(slot as u32)),
+                    "flow {} back-index on link {}",
+                    h.id,
+                    l.0
+                );
+                routed += 1;
+            }
+        }
+        let indexed: usize = self.link_flows.iter().map(Vec::len).sum();
+        assert_eq!(indexed, routed, "link index holds exactly the live flows");
+        for &slot in self.link_flows.iter().flatten() {
+            assert_ne!(self.hot[slot as usize].id, u64::MAX, "indexed slot is free");
+        }
+        if !self.resolve_pending {
+            assert!(
+                self.done_heap.len() <= 2 * self.live_flows + 1024,
+                "completion heap {} entries for {} live flows",
+                self.done_heap.len(),
+                self.live_flows
+            );
         }
     }
 
@@ -638,10 +721,7 @@ impl Fabric {
     /// generation than the flow, or flow already gone) are discarded.
     fn settle_due(&mut self, ctx: &mut Ctx<'_>, now: SimTime) {
         while let Some(&Reverse((at, id, gen, slot))) = self.done_heap.peek() {
-            // Slots recycle, ids don't: an id mismatch means this entry's
-            // flow is gone and another now owns the slot.
-            let h = &mut self.hot[slot as usize];
-            if h.id != id || h.gen != gen {
+            if !entry_live(&self.hot, id, gen, slot) {
                 self.done_heap.pop();
                 continue;
             }
@@ -649,6 +729,7 @@ impl Fabric {
                 break;
             }
             self.done_heap.pop();
+            let h = &mut self.hot[slot as usize];
             let dt = (now - h.updated_at).as_secs_f64();
             if dt > 0.0 {
                 h.remaining -= h.rate * dt;
@@ -656,7 +737,7 @@ impl Fabric {
             }
             if h.remaining <= EPS_BYTES {
                 let (h, c) = self.remove_flow(slot);
-                self.detach(h.route, slot);
+                self.detach(&h, slot);
                 self.mark_dirty(h.route);
                 ctx.stats().add("net.flow_bytes_done", c.total);
                 ctx.stats().incr("net.flows_done");
@@ -716,7 +797,7 @@ impl Fabric {
                     continue;
                 }
                 h.mark = epoch;
-                let (id, cap, route) = (h.id, h.cap, h.route);
+                let (cap, route) = (h.cap, h.route);
                 for &l2 in route.links() {
                     if self.link_mark[l2.0] != epoch {
                         self.link_mark[l2.0] = epoch;
@@ -733,7 +814,6 @@ impl Fabric {
                     *s = self.link_slot[l2.0];
                 }
                 self.comp_flows.push(CompFlow {
-                    id,
                     slot,
                     cap,
                     slots,
@@ -746,9 +826,8 @@ impl Fabric {
             // node pair finished): nothing to solve.
             return;
         }
-        // Flow-id order keeps the solve order (and thus float rounding)
-        // independent of walk order.
-        self.comp_flows.sort_unstable_by_key(|c| c.id);
+        // Walk order is fine: the solver's output does not depend on the
+        // order links and flows are added in.
         for c in &self.comp_flows {
             self.solver.add_flow(&c.slots[..c.n_links as usize], c.cap);
         }
@@ -772,7 +851,7 @@ impl Fabric {
                     let delay = SimDuration::from_secs_f64(h.remaining / new_rate)
                         .max(SimDuration::from_nanos(1));
                     self.done_heap
-                        .push(Reverse((now + delay, c.id, h.gen, c.slot)));
+                        .push(Reverse((now + delay, h.id, h.gen, c.slot)));
                 }
             }
         }
@@ -781,14 +860,23 @@ impl Fabric {
     }
 
     /// Re-arms the completion timer at the earliest valid projected finish,
-    /// *reusing* the armed timer when that instant is unchanged.
+    /// *reusing* the armed timer when that instant is unchanged. Runs after
+    /// every resolve, and first compacts the heap once stale entries
+    /// dominate it: each live flow holds at most one valid entry, so this
+    /// bounds the heap by `2 * live_flows + 1024` at amortized O(1) per
+    /// push. Valid entries and their keys are untouched, so pop order is
+    /// too.
     fn rearm(&mut self, ctx: &mut Ctx<'_>) {
+        if self.done_heap.len() > 2 * self.live_flows + 1024 {
+            let hot = &self.hot;
+            self.done_heap
+                .retain(|&Reverse((_, id, gen, slot))| entry_live(hot, id, gen, slot));
+        }
         let next = loop {
             match self.done_heap.peek() {
                 None => break None,
                 Some(&Reverse((at, id, gen, slot))) => {
-                    let h = &self.hot[slot as usize];
-                    if h.id == id && h.gen == gen {
+                    if entry_live(&self.hot, id, gen, slot) {
                         break Some(at);
                     }
                     self.done_heap.pop();
@@ -836,6 +924,7 @@ impl Fabric {
                     cap: req.cap_bytes_per_sec.unwrap_or(f64::INFINITY),
                     route,
                     mark: 0,
+                    link_pos: [0; 2],
                 },
                 FlowCold {
                     notify: req.notify,
@@ -846,9 +935,7 @@ impl Fabric {
                     on_done: req.on_done,
                 },
             );
-            for &l in route.links() {
-                self.link_flows[l.0].push(slot);
-            }
+            self.attach(slot);
             self.mark_dirty(route);
             ctx.stats().incr("net.flows_started");
             self.request_resolve(ctx);
@@ -883,7 +970,7 @@ impl Fabric {
             dead.sort_unstable();
             for (_, slot) in dead {
                 let (mut h, c) = self.remove_flow(slot);
-                self.detach(h.route, slot);
+                self.detach(&h, slot);
                 self.mark_dirty(h.route);
                 // A flow settled to within EPS of done may still hold a
                 // heap entry a nanosecond out (timer quantization); the
@@ -1091,6 +1178,16 @@ mod tests {
 
     fn engines() -> [FluidEngine; 2] {
         [FluidEngine::Incremental, FluidEngine::Reference]
+    }
+
+    /// Runs `sim` to the end one event at a time, checking the fabric's
+    /// link index and completion-heap bound after every event.
+    fn run_checked(sim: &mut Sim, fabric: ActorId) {
+        while sim.step() {
+            sim.actor_ref::<Fabric>(fabric)
+                .expect("fabric alive")
+                .check_index();
+        }
     }
 
     fn cfg_with(engine: FluidEngine) -> NetConfig {
@@ -1364,7 +1461,7 @@ mod tests {
                 net: NetHandle { fabric },
                 aborted: 0,
             }));
-            sim.run();
+            run_checked(&mut sim, fabric);
             assert_eq!(sim.stats().counter("aborted"), 2, "{engine:?}");
             assert_eq!(sim.stats().counter("survived"), 1, "{engine:?}");
         }
@@ -1451,6 +1548,34 @@ mod tests {
         );
     }
 
+    /// An incast whose flows finish one by one re-prices every survivor at
+    /// each completion, so stale completion-heap entries pile up
+    /// quadratically (~8k pushes for 128 flows). Compaction must keep the
+    /// heap within `2 * live + 1024` throughout, and every completion
+    /// unindexes a flow from the receiver's up-to-128-deep flow list.
+    #[test]
+    fn incast_keeps_heap_bounded_and_index_consistent() {
+        const SENDERS: u32 = 128;
+        let mut sim = Sim::new(0);
+        let fabric = sim.spawn(Box::new(Fabric::new(
+            cfg_with(FluidEngine::Incremental),
+            SENDERS as usize + 1,
+        )));
+        let flows = (1..=SENDERS)
+            .map(|s| (s, 0, u64::from(s) * 1_000_000, None))
+            .collect();
+        let driver = sim.spawn(Box::new(Driver {
+            net: NetHandle { fabric },
+            flows,
+            done: Vec::new(),
+            expected: SENDERS as usize,
+        }));
+        run_checked(&mut sim, fabric);
+        let done = &sim.actor_ref::<Driver>(driver).expect("driver").done;
+        let order: Vec<u64> = done.iter().map(|&(tag, _)| tag).collect();
+        assert_eq!(order, (0..u64::from(SENDERS)).collect::<Vec<_>>());
+    }
+
     /// Dynamic membership at the fabric level: a node added mid-run is
     /// routable, shares links fairly, and both engines agree on timings.
     #[test]
@@ -1494,7 +1619,7 @@ mod tests {
                 net: NetHandle { fabric },
                 done: Vec::new(),
             }));
-            sim.run();
+            run_checked(&mut sim, fabric);
             assert_eq!(sim.stats().counter("net.nodes_added"), 3, "{engine:?}");
             let done = &sim.actor_ref::<GrowDriver>(d).expect("driver").done;
             // Flow 0: 0.5 s alone + 1 s shared (62.5 MB left at half rate)
@@ -1553,7 +1678,7 @@ mod tests {
                 done: Vec::new(),
                 aborted: 0,
             }));
-            sim.run();
+            run_checked(&mut sim, fabric);
             let driver = sim.actor_ref::<PartitionDriver>(d).expect("driver");
             assert_eq!(driver.aborted, 0, "{engine:?}: partitions must not abort");
             let t0 = driver.done.iter().find(|(t, _)| *t == 0).unwrap().1;
@@ -1724,7 +1849,7 @@ mod tests {
                     done: Vec::new(),
                     expected: n_flows,
                 }));
-                sim.run();
+                run_checked(&mut sim, fabric);
                 let mut done =
                     std::mem::take(&mut sim.actor_mut::<WaveDriver>(driver).unwrap().done);
                 assert_eq!(done.len(), n_flows, "{engine:?} seed {seed}: flows lost");

@@ -31,6 +31,15 @@
 //! rates outside itself, solving components independently yields the same
 //! allocation as one global solve; `solver_matches_reference_on_random_
 //! topologies` asserts agreement within 1e-9 on randomized instances.
+//!
+//! [`MaxMinSolver`] output is also *bitwise* invariant under any
+//! permutation of its [`MaxMinSolver::add_link`] and
+//! [`MaxMinSolver::add_flow`] calls: each round's increment is an exact
+//! `min`, every link subtracts that same increment once per unfrozen flow
+//! crossing it, and freezing runs only after the whole apply pass, so no
+//! float operation's operands depend on input order. The fabric relies on
+//! this to feed components in walk order without sorting;
+//! `solver_ignores_input_order` asserts it.
 
 /// Index of a link inside a [`LinkTable`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -633,6 +642,82 @@ mod tests {
             solver_vs_reference(&caps, &flows, &mut solver);
         }
         assert_eq!(solver.solves(), 200, "one solve per instance");
+    }
+
+    /// Solves `flows` over `caps`, adding links in `link_order` and flows
+    /// in `flow_order`; returns each flow's rate bits in input order.
+    fn solve_in_order(
+        solver: &mut MaxMinSolver,
+        caps: &[f64],
+        flows: &[FlowDemand],
+        link_order: &[usize],
+        flow_order: &[usize],
+    ) -> Vec<u64> {
+        solver.begin();
+        let mut local = vec![0u32; caps.len()];
+        for &l in link_order {
+            local[l] = solver.add_link(caps[l]);
+        }
+        for &f in flow_order {
+            let links: Vec<u32> = flows[f].links.iter().map(|l| local[l.0]).collect();
+            solver.add_flow(&links, flows[f].cap);
+        }
+        let mut bits = vec![0u64; flows.len()];
+        for (&f, rate) in flow_order.iter().zip(solver.solve()) {
+            bits[f] = rate.to_bits();
+        }
+        bits
+    }
+
+    /// The fabric feeds each component in walk order, not a canonical one,
+    /// so the solver must be bitwise blind to input order: under random
+    /// permutations of both links and flows, every rate keeps its exact
+    /// bits. Instances mix loopback (single-link) flows, capped flows and
+    /// zero-capacity (partitioned) links.
+    #[test]
+    fn solver_ignores_input_order() {
+        use accelmr_des::Xoshiro256;
+        let mut rng = Xoshiro256::seed_from_u64(0x0DE5_0DE5);
+        let mut solver = MaxMinSolver::new();
+        for _ in 0..200 {
+            let n_links = rng.range_inclusive(1, 16) as usize;
+            let caps: Vec<f64> = (0..n_links)
+                .map(|_| {
+                    if rng.next_below(5) == 0 {
+                        0.0
+                    } else {
+                        1.0e6 * (1.0 + 249.0 * rng.next_f64())
+                    }
+                })
+                .collect();
+            let n_flows = rng.range_inclusive(1, 48) as usize;
+            let flows: Vec<FlowDemand> = (0..n_flows)
+                .map(|_| {
+                    let a = rng.next_below(n_links as u64) as usize;
+                    let b = rng.next_below(n_links as u64) as usize;
+                    let links = if a == b || rng.next_below(3) == 0 {
+                        vec![LinkId(a)]
+                    } else {
+                        vec![LinkId(a), LinkId(b)]
+                    };
+                    let cap = if rng.next_below(3) == 0 {
+                        1.0e5 * (1.0 + 99.0 * rng.next_f64())
+                    } else {
+                        f64::INFINITY
+                    };
+                    FlowDemand { links, cap }
+                })
+                .collect();
+            let mut link_order: Vec<usize> = (0..n_links).collect();
+            let mut flow_order: Vec<usize> = (0..n_flows).collect();
+            let base = solve_in_order(&mut solver, &caps, &flows, &link_order, &flow_order);
+            for _ in 0..8 {
+                rng.shuffle(&mut link_order);
+                rng.shuffle(&mut flow_order);
+                let got = solve_in_order(&mut solver, &caps, &flows, &link_order, &flow_order);
+                assert_eq!(got, base, "links {link_order:?} flows {flow_order:?}");
+            }
+        }
     }
 
     #[test]
