@@ -383,8 +383,7 @@ fn main() {
                 .cloned()
                 .collect()
         };
-        let cratio =
-            nanos_per_event(&control(&big)) / nanos_per_event(&control(&base));
+        let cratio = nanos_per_event(&control(&big)) / nanos_per_event(&control(&base));
         println!(
             "\nper-event cost ratio 1k -> 10k nodes: {ratio:.2}x overall (bar 1.6x), {cratio:.2}x control-plane (bar 1.5x)"
         );

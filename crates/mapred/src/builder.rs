@@ -1,8 +1,8 @@
 //! Fluent builders for cluster deployment and job description.
 //!
-//! [`ClusterBuilder`] replaces the seven-positional-argument
-//! `deploy_cluster` call with named setters over sane defaults, and
-//! [`JobBuilder`] replaces hand-rolled [`JobSpec`] struct literals:
+//! [`ClusterBuilder`] is the one way to deploy a cluster: named setters
+//! over sane defaults. [`JobBuilder`] replaces hand-rolled [`JobSpec`]
+//! struct literals:
 //!
 //! ```
 //! use accelmr_mapred::{ClusterBuilder, JobBuilder, SumReducer};
@@ -25,7 +25,7 @@ use std::sync::Arc;
 use accelmr_dfs::DfsConfig;
 use accelmr_net::NetConfig;
 
-use crate::cluster::{deploy_cluster_impl, MrCluster, PreloadSpec};
+use crate::cluster::{self, MrCluster, PreloadSpec};
 use crate::config::{MrConfig, SchedulerPolicy};
 use crate::job::{JobInput, JobSpec, OutputSink, ReduceSpec};
 use crate::kernel::{NodeEnvFactory, NullEnvFactory, ReduceKernel, TaskKernel};
@@ -131,18 +131,17 @@ impl ClusterBuilder {
     /// Deploys the cluster: spawns the fabric, NameNode/DataNodes, and
     /// JobTracker/TaskTrackers into a fresh simulation. The deployed
     /// cluster retains the configs and environment factory, so sessions
-    /// over it support dynamic membership
+    /// over it can change membership
     /// ([`Session::add_node_at`](crate::Session::add_node_at) /
     /// [`Session::remove_node_at`](crate::Session::remove_node_at)).
     pub fn deploy(self) -> MrCluster {
-        deploy_cluster_impl(
+        cluster::deploy(
             self.seed,
             self.workers,
             self.net,
             self.dfs,
             self.mr,
-            self.env.as_ref(),
-            Some(self.env.clone()),
+            self.env,
             self.materialized,
         )
     }

@@ -1,22 +1,20 @@
-//! Cluster assembly and synchronous job-driving helpers.
-//!
-//! The preferred deployment surface is [`ClusterBuilder`](crate::ClusterBuilder)
-//! and the preferred driving surface is [`Session`]; the
-//! positional [`deploy_cluster`] / blocking [`run_job`] helpers remain as
-//! deprecated wrappers over them.
+//! Cluster assembly: the [`MrCluster`] bundle that
+//! [`ClusterBuilder::deploy`](crate::ClusterBuilder::deploy) returns, and
+//! the [`MrHandle`] actors use to reach the MapReduce runtime. Jobs run
+//! through [`MrCluster::session`].
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use accelmr_des::prelude::*;
 use accelmr_dfs::DfsHandle;
 use accelmr_net::{NetHandle, NodeId, NodeRegistry};
 
 use crate::config::MrConfig;
-use crate::job::{JobResult, JobSpec};
+use crate::job::JobSpec;
 use crate::jobtracker::{JobTracker, RegisterTaskTracker};
 use crate::kernel::NodeEnvFactory;
 use crate::msgs::SubmitJob;
-use crate::session::{ElasticCtx, JobRequest, Session};
+use crate::session::ElasticCtx;
 use crate::tasktracker::TaskTracker;
 
 /// Handle to a deployed MapReduce runtime.
@@ -52,55 +50,6 @@ impl MrHandle {
     }
 }
 
-/// Spawns the JobTracker (head node) and one TaskTracker per worker, wired
-/// to an existing DFS deployment. `env_factory` builds each node's
-/// accelerator environment (the hybrid crate supplies Cell machines here).
-pub fn deploy_mr(
-    sim: &mut Sim,
-    net: NetHandle,
-    dfs: &DfsHandle,
-    cfg: &MrConfig,
-    head_node: NodeId,
-    workers: &[NodeId],
-    env_factory: &dyn NodeEnvFactory,
-) -> MrHandle {
-    // Guard the low-level assembly path too, not just ClusterBuilder:
-    // these configs hang jobs or mis-detect dead trackers.
-    if let Err(e) = cfg.validate() {
-        panic!("invalid MrConfig: {e}");
-    }
-    let jobtracker = sim.spawn(Box::new(JobTracker::new(
-        cfg.clone(),
-        net,
-        dfs.clone(),
-        head_node,
-    )));
-    let mut tts = Vec::with_capacity(workers.len());
-    for (i, &w) in workers.iter().enumerate() {
-        let tt = TaskTracker::new(
-            cfg.clone(),
-            net,
-            dfs.clone(),
-            w,
-            head_node,
-            jobtracker,
-            env_factory.build(i),
-        );
-        let id = sim.spawn(Box::new(tt));
-        tts.push((w, id));
-        sim.post(
-            jobtracker,
-            Box::new(RegisterTaskTracker { node: w, actor: id }),
-        );
-    }
-    MrHandle {
-        jobtracker,
-        head_node,
-        tasktrackers: NodeRegistry::new(tts),
-        net,
-    }
-}
-
 /// A file to preload before running a job.
 #[derive(Clone, Debug)]
 pub struct PreloadSpec {
@@ -114,24 +63,6 @@ pub struct PreloadSpec {
     pub replication: Option<usize>,
     /// Content seed.
     pub seed: u64,
-}
-
-/// Preloads `preloads`, submits `spec` from the head node, runs the
-/// simulation to completion, and returns the job result.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Session`: `let mut s = cluster.session(); s.submit(job); s.run()`"
-)]
-pub fn run_job(
-    sim: &mut Sim,
-    mr: &MrHandle,
-    dfs: &DfsHandle,
-    preloads: Vec<PreloadSpec>,
-    spec: JobSpec,
-) -> JobResult {
-    let mut session = Session::new(sim, mr.clone(), dfs.clone());
-    session.submit(JobRequest { spec, preloads });
-    session.run()
 }
 
 /// Everything a deployed simulation needs in one bundle.
@@ -148,53 +79,25 @@ pub struct MrCluster {
     /// consult `mr.tasktrackers` / `dfs.datanodes` for the live set).
     pub workers: Vec<NodeId>,
     /// Elasticity context retained for mid-session joins: the configs and
-    /// environment factory new nodes are built from. `None` on the
-    /// deprecated positional deployment path, where `Session::add_node_at`
-    /// is unavailable.
-    pub(crate) elastic: Option<ElasticCtx>,
+    /// environment factory new nodes are built from.
+    pub(crate) elastic: ElasticCtx,
+    /// Next fresh `NodeId` a join gets. Lives on the cluster, not the
+    /// session, so ids are never reused across sessions.
+    pub(crate) next_node: u32,
 }
 
-/// One-call positional deployment: fabric + DFS + MapReduce over
-/// `n_workers` nodes.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `ClusterBuilder` (named setters with defaults) instead"
-)]
-pub fn deploy_cluster(
+/// Deploys fabric + DFS + MapReduce over `n_workers` nodes into a fresh
+/// simulation: the fabric, the NameNode and DataNodes, then the
+/// JobTracker on the head node and one TaskTracker per worker, each with
+/// an environment from `env`. The cluster retains `env` and the configs so
+/// sessions can build nodes joining mid-run.
+pub(crate) fn deploy(
     seed: u64,
     n_workers: usize,
     net_cfg: accelmr_net::NetConfig,
     dfs_cfg: accelmr_dfs::DfsConfig,
     mr_cfg: MrConfig,
-    env_factory: &dyn NodeEnvFactory,
-    materialized: bool,
-) -> MrCluster {
-    deploy_cluster_impl(
-        seed,
-        n_workers,
-        net_cfg,
-        dfs_cfg,
-        mr_cfg,
-        env_factory,
-        None,
-        materialized,
-    )
-}
-
-/// Deployment shared by [`ClusterBuilder`](crate::ClusterBuilder) and the
-/// deprecated [`deploy_cluster`]: both paths spawn the same actors in the
-/// same order, so they are event-for-event identical. `retained_env` is
-/// the same factory as `env_factory`, kept (builder path only) so joined
-/// nodes can build their environments mid-session.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn deploy_cluster_impl(
-    seed: u64,
-    n_workers: usize,
-    net_cfg: accelmr_net::NetConfig,
-    dfs_cfg: accelmr_dfs::DfsConfig,
-    mr_cfg: MrConfig,
-    env_factory: &dyn NodeEnvFactory,
-    retained_env: Option<Arc<dyn NodeEnvFactory>>,
+    env: Arc<dyn NodeEnvFactory>,
     materialized: bool,
 ) -> MrCluster {
     // A workerless cluster can never complete a job: the JobTracker would
@@ -218,29 +121,63 @@ pub(crate) fn deploy_cluster_impl(
         &workers,
         materialized,
     );
-    let mr = deploy_mr(
-        &mut sim,
-        net,
-        &dfs,
-        &mr_cfg,
-        NodeId::HEAD,
-        &workers,
-        env_factory,
-    );
-    let elastic = retained_env.map(|env| ElasticCtx {
-        dfs_cfg,
-        mr_cfg,
-        materialized,
-        env,
-        // Worker ids are 1..=n_workers; the next join gets the next id.
-        next_node: Arc::new(Mutex::new(n_workers as u32 + 1)),
-    });
+    let mr = deploy_mr(&mut sim, net, &dfs, &mr_cfg, &workers, env.as_ref());
     MrCluster {
         sim,
         net,
         dfs,
         mr,
+        // Worker ids are 1..=n_workers; the next join gets the next id.
+        next_node: n_workers as u32 + 1,
         workers,
-        elastic,
+        elastic: ElasticCtx {
+            dfs_cfg,
+            mr_cfg,
+            materialized,
+            env,
+        },
+    }
+}
+
+/// Spawns the JobTracker on the head node and one TaskTracker per worker,
+/// registering each with the JobTracker.
+fn deploy_mr(
+    sim: &mut Sim,
+    net: NetHandle,
+    dfs: &DfsHandle,
+    cfg: &MrConfig,
+    workers: &[NodeId],
+    env: &dyn NodeEnvFactory,
+) -> MrHandle {
+    let head_node = NodeId::HEAD;
+    let jobtracker = sim.spawn(Box::new(JobTracker::new(
+        cfg.clone(),
+        net,
+        dfs.clone(),
+        head_node,
+    )));
+    let mut tts = Vec::with_capacity(workers.len());
+    for (i, &w) in workers.iter().enumerate() {
+        let tt = TaskTracker::new(
+            cfg.clone(),
+            net,
+            dfs.clone(),
+            w,
+            head_node,
+            jobtracker,
+            env.build(i),
+        );
+        let id = sim.spawn(Box::new(tt));
+        tts.push((w, id));
+        sim.post(
+            jobtracker,
+            Box::new(RegisterTaskTracker { node: w, actor: id }),
+        );
+    }
+    MrHandle {
+        jobtracker,
+        head_node,
+        tasktrackers: NodeRegistry::new(tts),
+        net,
     }
 }

@@ -1787,8 +1787,8 @@ impl Actor for JobTracker {
     }
 }
 
-/// Registers the TaskTracker actor for a node — delivered by `deploy_mr`
-/// right after spawning, because heartbeats alone cannot carry `ActorId`s
+/// Registers the TaskTracker actor for a node — delivered at deploy and
+/// on each mid-session join right after spawning, because heartbeats alone cannot carry `ActorId`s
 /// through the typed fabric.
 #[derive(Debug, Clone, Copy)]
 pub struct RegisterTaskTracker {

@@ -24,8 +24,8 @@
 //! The user-facing surface is [`ClusterBuilder`] (fluent deployment),
 //! [`JobBuilder`] (fluent job description), and [`Session`] (N concurrent
 //! jobs with staggered arrivals, driven to completion deterministically).
-//! The positional `deploy_cluster` / blocking `run_job` helpers are
-//! deprecated wrappers over the same machinery.
+//! `ClusterBuilder::deploy` is the only way to deploy a cluster, and
+//! [`MrCluster::session`] the only way to drive jobs on it.
 //!
 //! ## Invariants callers rely on
 //!
@@ -60,9 +60,7 @@ pub mod session;
 pub mod tasktracker;
 
 pub use builder::{ClusterBuilder, JobBuilder};
-#[allow(deprecated)]
-pub use cluster::{deploy_cluster, run_job};
-pub use cluster::{deploy_mr, MrCluster, MrHandle, PreloadSpec};
+pub use cluster::{MrCluster, MrHandle, PreloadSpec};
 pub use config::{
     AdaptiveTuning, JobId, MrConfig, MrConfigError, PreemptionTuning, SchedulerPolicy, TaskId,
 };

@@ -121,17 +121,14 @@ struct PendingJob {
 }
 
 /// Everything a mid-session join needs to build a node: the configs and
-/// environment factory the cluster was deployed with, plus the shared
-/// fresh-node-id counter. Retained by `ClusterBuilder::deploy`.
+/// environment factory the cluster was deployed with. Retained by
+/// `ClusterBuilder::deploy`.
 #[derive(Clone)]
 pub(crate) struct ElasticCtx {
     pub(crate) dfs_cfg: DfsConfig,
     pub(crate) mr_cfg: MrConfig,
     pub(crate) materialized: bool,
     pub(crate) env: Arc<dyn NodeEnvFactory>,
-    /// Next fresh `NodeId` — shared across sessions over one cluster so
-    /// ids are never recycled.
-    pub(crate) next_node: Arc<Mutex<u32>>,
 }
 
 /// One scheduled membership change.
@@ -462,44 +459,18 @@ impl FaultPlan {
 /// session can then queue and run further batches against the same,
 /// still-warm cluster.
 pub struct Session<'a> {
-    sim: &'a mut Sim,
-    mr: MrHandle,
-    dfs: DfsHandle,
+    cluster: &'a mut MrCluster,
     pending: Vec<PendingJob>,
-    /// Membership changes queued for the next run (requires `elastic`).
+    /// Membership changes queued for the next run.
     churn: Vec<(SimDuration, ChurnChange)>,
     /// Fault-injection primitives queued for the next run.
     faults: Vec<(SimDuration, FaultAction)>,
-    elastic: Option<ElasticCtx>,
 }
 
-impl<'a> Session<'a> {
-    /// Opens a session over an already-deployed runtime. Sessions opened
-    /// this way drive jobs only; dynamic membership
-    /// ([`add_node_at`](Session::add_node_at) /
-    /// [`remove_node_at`](Session::remove_node_at)) needs the deployment
-    /// context a [`ClusterBuilder`](crate::ClusterBuilder)-deployed
-    /// [`MrCluster::session`] carries.
-    pub fn new(sim: &'a mut Sim, mr: MrHandle, dfs: DfsHandle) -> Self {
-        Session {
-            sim,
-            mr,
-            dfs,
-            pending: Vec::new(),
-            churn: Vec::new(),
-            faults: Vec::new(),
-            elastic: None,
-        }
-    }
-
-    pub(crate) fn with_elastic(mut self, elastic: Option<ElasticCtx>) -> Self {
-        self.elastic = elastic;
-        self
-    }
-
+impl Session<'_> {
     /// The underlying simulation (e.g. to inject faults before running).
     pub fn sim_mut(&mut self) -> &mut Sim {
-        self.sim
+        &mut self.cluster.sim
     }
 
     /// Queues a job for submission at the current simulated instant.
@@ -520,7 +491,7 @@ impl<'a> Session<'a> {
         request: impl Into<JobRequest>,
     ) -> JobHandle {
         let request = request.into();
-        let submit_at = self.sim.now() + delay;
+        let submit_at = self.cluster.sim.now() + delay;
         if let Err(e) = request.spec.validate(submit_at) {
             panic!("invalid JobSpec '{}': {e}", request.spec.name);
         }
@@ -546,19 +517,10 @@ impl<'a> Session<'a> {
     /// TaskTracker spawns, registers, and starts pulling work on its
     /// heartbeats — schedulers observe the join via
     /// [`Scheduler::on_node_join`](crate::sched::Scheduler::on_node_join).
-    ///
-    /// Panics when the cluster was deployed through the deprecated
-    /// positional path, which retains no deployment context to build new
-    /// nodes from.
+    /// Ids are never reused, not even across sessions over one cluster.
     pub fn add_node_at(&mut self, at: SimDuration) -> NodeId {
-        let elastic = self
-            .elastic
-            .as_ref()
-            .expect("dynamic membership requires a ClusterBuilder-deployed cluster");
-        let mut next = elastic.next_node.lock().unwrap();
-        let node = NodeId(*next);
-        *next += 1;
-        drop(next);
+        let node = NodeId(self.cluster.next_node);
+        self.cluster.next_node += 1;
         self.churn.push((at, ChurnChange::Join(node)));
         node
     }
@@ -571,10 +533,6 @@ impl<'a> Session<'a> {
     /// re-replication once heartbeat silence is detected).
     pub fn remove_node_at(&mut self, at: SimDuration, node: NodeId) {
         assert_ne!(node, NodeId::HEAD, "cannot remove the head node");
-        assert!(
-            self.elastic.is_some(),
-            "dynamic membership requires a ClusterBuilder-deployed cluster"
-        );
         self.churn.push((at, ChurnChange::Leave(node)));
     }
 
@@ -597,10 +555,9 @@ impl<'a> Session<'a> {
     /// driver actor is spawned only when a plan was queued, so fault-free
     /// runs keep their historical actor layout and event traces.
     ///
-    /// Unlike churn, fault injection needs no deployment context: faults
-    /// mutate already-running actors (NIC bandwidth in the fabric, compute
-    /// throughput and heartbeat emission in TaskTrackers), so plans work on
-    /// any deployment, including the deprecated positional path.
+    /// Unlike churn, fault injection builds no nodes: faults mutate
+    /// already-running actors (NIC bandwidth in the fabric, compute
+    /// throughput and heartbeat emission in TaskTrackers).
     pub fn faults(&mut self, plan: FaultPlan) {
         self.faults.extend(plan.actions());
     }
@@ -623,21 +580,19 @@ impl<'a> Session<'a> {
             .map(|&(at, _)| at)
             .chain(faults.iter().map(|&(at, _)| at))
             .max();
+        let cluster = &mut *self.cluster;
         if !churn.is_empty() {
-            let elastic = self
-                .elastic
-                .clone()
-                .expect("churn queued without elastic context");
-            self.sim.spawn(Box::new(ChurnDriver::new(
-                elastic,
-                self.mr.clone(),
-                self.dfs.clone(),
+            cluster.sim.spawn(Box::new(ChurnDriver::new(
+                cluster.elastic.clone(),
+                cluster.mr.clone(),
+                cluster.dfs.clone(),
                 churn,
             )));
         }
         if !faults.is_empty() {
-            self.sim
-                .spawn(Box::new(FaultDriver::new(self.mr.clone(), faults)));
+            cluster
+                .sim
+                .spawn(Box::new(FaultDriver::new(cluster.mr.clone(), faults)));
         }
         if self.pending.is_empty() {
             // A job-less batch still applies queued membership changes and
@@ -645,8 +600,8 @@ impl<'a> Session<'a> {
             // scheduled one (it would otherwise be silently deferred — and
             // re-anchored — to the next batch's start).
             if let Some(at) = last_churn_at {
-                let deadline = self.sim.now() + at;
-                self.sim.run_until(deadline);
+                let deadline = cluster.sim.now() + at;
+                cluster.sim.run_until(deadline);
             }
             return Vec::new();
         }
@@ -657,9 +612,9 @@ impl<'a> Session<'a> {
             .map(|p| (p.request.spec.name.clone(), p.slot.clone()))
             .collect();
         for job in self.pending.drain(..) {
-            self.sim.spawn(Box::new(JobDriver {
-                mr: self.mr.clone(),
-                dfs: self.dfs.clone(),
+            cluster.sim.spawn(Box::new(JobDriver {
+                mr: cluster.mr.clone(),
+                dfs: cluster.dfs.clone(),
                 delay: job.delay,
                 preloads: job.request.preloads,
                 preloads_left: 0,
@@ -668,7 +623,7 @@ impl<'a> Session<'a> {
                 outstanding: outstanding.clone(),
             }));
         }
-        self.sim.run();
+        cluster.sim.run();
         batch
             .into_iter()
             .map(|(name, slot)| {
@@ -694,12 +649,17 @@ impl<'a> Session<'a> {
 }
 
 impl MrCluster {
-    /// Opens a [`Session`] over this cluster. Clusters deployed through
-    /// [`ClusterBuilder`](crate::ClusterBuilder) get dynamic-membership
-    /// support ([`Session::add_node_at`] / [`Session::remove_node_at`]).
+    /// Opens a [`Session`] over this cluster: job submission, dynamic
+    /// membership ([`Session::add_node_at`] / [`Session::remove_node_at`])
+    /// and fault injection. The session borrows the cluster mutably until
+    /// it is dropped.
     pub fn session(&mut self) -> Session<'_> {
-        let elastic = self.elastic.clone();
-        Session::new(&mut self.sim, self.mr.clone(), self.dfs.clone()).with_elastic(elastic)
+        Session {
+            cluster: self,
+            pending: Vec::new(),
+            churn: Vec::new(),
+            faults: Vec::new(),
+        }
     }
 }
 

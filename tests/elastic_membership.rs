@@ -228,21 +228,15 @@ fn jobless_batch_applies_churn() {
     assert!(cluster.dfs.datanode_on(n).is_some());
 }
 
-/// The deprecated positional deployment path retains no deployment
-/// context, so membership calls are rejected loudly.
+/// Join ids come from the cluster, not the session: a second session over
+/// the same cluster continues the sequence instead of reusing an id.
 #[test]
-#[should_panic(expected = "dynamic membership requires")]
-fn membership_requires_builder_deployment() {
-    #[allow(deprecated)]
-    let mut c = accelmr::mapred::deploy_cluster(
-        1,
-        2,
-        NetConfig::default(),
-        DfsConfig::default(),
-        MrConfig::default(),
-        &accelmr::mapred::NullEnvFactory,
-        false,
-    );
-    let mut session = c.session();
-    let _ = session.add_node_at(SimDuration::from_secs(1));
+fn joined_node_ids_are_never_reused_across_sessions() {
+    let mut cluster = ClusterBuilder::new().seed(3).workers(2).deploy();
+    let mut first = cluster.session();
+    let a = first.add_node_at(SimDuration::from_secs(1));
+    assert!(first.run_until_complete().is_empty());
+    let mut second = cluster.session();
+    let b = second.add_node_at(SimDuration::from_secs(1));
+    assert_eq!((a, b), (NodeId(3), NodeId(4)));
 }
